@@ -1,12 +1,12 @@
-"""Batched vs per-URL corpus EM: urls/sec per engine × corpus shape.
+"""Corpus EM throughput: urls/sec of ``fit_corpus(method="em")`` per shape.
 
-The batched engine exists for exactly one workload: thousands of small
-cascades, where per-URL EM is NumPy-dispatch-bound (hundreds of kernel
-launches per URL on arrays with tens of elements).  This bench fits the
-same synthetic corpora with ``engine="per-url"`` and
-``engine="batched"`` (both ``n_jobs=1``, so the comparison isolates the
-packing, not process fan-out), checks the results agree within
-tolerance, and reports urls/sec plus the batched speedup per shape.
+EM fits a corpus as packed batches (``core/hawkes/batched.py``), the
+only EM engine.  Its target workload is thousands of small cascades,
+where a per-URL loop would be NumPy-dispatch-bound (hundreds of kernel
+launches per URL on arrays with tens of elements).  This bench fits
+synthetic corpora of each shape at ``n_jobs=1``, so the number isolates
+the packed array program, not process fan-out, and reports urls/sec
+per shape.
 
 Each run emits ``results/BENCH_batched_corpus.json``; ``BENCH_SMOKE=1``
 shrinks the corpora for a fast CI pass (the JSON is emitted either
@@ -72,9 +72,9 @@ def build_corpus(n_urls, events_per_url, seed):
     return cascades
 
 
-def _timed_fit(corpus, engine):
+def _timed_fit(corpus):
     start = time.perf_counter()
-    result = fit_corpus(corpus, BENCH_HAWKES, method="em", engine=engine)
+    result = fit_corpus(corpus, BENCH_HAWKES, method="em")
     return result, time.perf_counter() - start
 
 
@@ -88,36 +88,25 @@ def test_bench_batched_corpus(benchmark, save_result):
         if name == first_shape:
             # One shape goes through the benchmark fixture so the run
             # is visible to pytest-benchmark's own reporting.
-            per_url, per_url_s = benchmark.pedantic(
-                _timed_fit, args=(corpus, "per-url"),
-                rounds=1, iterations=1)
+            result, elapsed = benchmark.pedantic(
+                _timed_fit, args=(corpus,), rounds=1, iterations=1)
         else:
-            per_url, per_url_s = _timed_fit(corpus, "per-url")
-        batched, batched_s = _timed_fit(corpus, "batched")
-        # The engines must agree before their timings are comparable.
-        for ref, got in zip(per_url.fits, batched.fits):
-            np.testing.assert_allclose(got.weights, ref.weights,
-                                       rtol=5e-3, atol=1e-8)
-        speedup = per_url_s / batched_s
-        for engine, elapsed in (("per-url", per_url_s),
-                                ("batched", batched_s)):
-            _RESULTS[f"{name}/{engine}"] = {
-                "ops_per_sec": n_urls / elapsed,
-                "mean_seconds": elapsed / n_urls,
-                "wall_seconds": elapsed,
-                "n_urls": n_urls,
-                "events_per_url": events_per_url,
-            }
-        _RESULTS[f"{name}/speedup"] = {"batched_over_per_url": speedup}
+            result, elapsed = _timed_fit(corpus)
+        assert len(result.fits) == n_urls
+        _RESULTS[name] = {
+            "ops_per_sec": n_urls / elapsed,
+            "mean_seconds": elapsed / n_urls,
+            "wall_seconds": elapsed,
+            "n_urls": n_urls,
+            "events_per_url": events_per_url,
+        }
         rows.append([name, str(n_urls), str(events_per_url),
-                     f"{n_urls / per_url_s:.1f}",
-                     f"{n_urls / batched_s:.1f}", f"{speedup:.1f}x"])
+                     f"{elapsed:.2f}", f"{n_urls / elapsed:.1f}"])
     from repro.obs import get_registry
     _METRICS.update(get_registry().snapshot())
     table = render_table(
-        ["Corpus", "URLs", "Ev/URL", "per-url URLs/s", "batched URLs/s",
-         "Speedup"],
-        rows, title=f"Corpus EM engines, n_jobs=1, max_lag="
+        ["Corpus", "URLs", "Ev/URL", "Wall s", "URLs/s"],
+        rows, title=f"Corpus EM, n_jobs=1, max_lag="
                     f"{BENCH_HAWKES.max_lag_bins}"
                     f"{' (smoke)' if SMOKE else ''}")
     save_result("batched_corpus_throughput.txt", table)

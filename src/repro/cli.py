@@ -67,15 +67,6 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
              "cores); results are identical for any value")
 
 
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=("per-url", "batched"), default="per-url",
-        help="corpus fit execution strategy: 'per-url' fits one cascade "
-             "at a time (golden reference); 'batched' packs each chunk "
-             "into one array program and switches the fit method to EM "
-             "(results match per-url EM to floating-point tolerance)")
-
-
 def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario", default=None, metavar="NAME",
@@ -132,7 +123,6 @@ def _study(args: argparse.Namespace, **overrides):
     kwargs = {
         "max_urls": getattr(args, "max_urls", None),
         "n_jobs": getattr(args, "jobs", 1),
-        "engine": getattr(args, "engine", "per-url"),
         "cache_dir": getattr(args, "cache", None),
     }
     scenario = getattr(args, "scenario", None)
@@ -146,11 +136,6 @@ def _study(args: argparse.Namespace, **overrides):
             "hawkes": HawkesConfig(gibbs_iterations=30, gibbs_burn_in=10),
             "fit_seed": args.seed,
         })
-    if kwargs["engine"] == "batched":
-        # The batched engine only exists for EM; the CLI's default fit
-        # method is Gibbs, so --engine batched selects EM rather than
-        # erroring out of the Study constructor.
-        kwargs["method"] = "em"
     kwargs.update(overrides)
     return Study(**kwargs)
 
@@ -252,8 +237,7 @@ def cmd_live(args: argparse.Namespace) -> int:
         refitter = WindowedHawkesRefitter(
             policy=RefitPolicy(every_records=args.refit_every,
                                max_urls=args.refit_max_urls,
-                               n_jobs=args.jobs,
-                               engine=args.engine),
+                               n_jobs=args.jobs),
             seed=args.seed,
             ecosystem=ecosystem)
     publish_store = None
@@ -552,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="supervise sources and append quarantined "
                            "records to this dead-letter sidecar")
     _add_jobs_arg(live)
-    _add_engine_arg(live)
     _add_cache_arg(live)
     live.set_defaults(func=cmd_live)
 
@@ -591,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--skip-influence", action="store_true")
     validate.add_argument("--max-urls", type=int, default=150)
     _add_jobs_arg(validate)
-    _add_engine_arg(validate)
     _add_cache_arg(validate)
     validate.set_defaults(func=cmd_validate)
 
@@ -602,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--skip-influence", action="store_true")
     report.add_argument("--max-urls", type=int, default=120)
     _add_jobs_arg(report)
-    _add_engine_arg(report)
     _add_cache_arg(report)
     report.set_defaults(func=cmd_report)
 
@@ -613,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8731)
     serve.add_argument("--max-urls", type=int, default=120)
     _add_jobs_arg(serve)
-    _add_engine_arg(serve)
     _add_cache_arg(serve)
     serve.set_defaults(func=cmd_serve)
 

@@ -1,15 +1,15 @@
 """Batched EM: fit a whole corpus chunk of cascades as one array program.
 
-:func:`~repro.core.influence.fit_corpus` historically dispatched one
-:func:`~.inference.fit_em` per URL.  PR 3 made each of those fits a
-flat array program (:mod:`.kernels`), but with thousands of *tiny*
-cascades the remaining cost is NumPy call dispatch — hundreds of
-kernel launches per URL on arrays with tens of elements.  This module
-removes the corpus loop itself: a batch of per-URL
-:class:`~repro.core.events.DiscreteEvents` is packed into one flat
-segmented layout with a leading cascade axis, and every EM phase —
-candidate values, responsibilities, exposures, MAP updates, and the
-log-likelihood — runs across the entire batch in single NumPy calls.
+This is the repo's only EM implementation: :func:`~.inference.fit_em`
+is a batch of one, and :func:`~repro.core.influence.fit_corpus` packs
+every chunk of per-URL cascades into one batch.  With thousands of
+*tiny* cascades the cost of a per-URL loop is NumPy call dispatch —
+hundreds of kernel launches per URL on arrays with tens of elements —
+so a batch of per-URL :class:`~repro.core.events.DiscreteEvents` is
+packed into one flat segmented layout with a leading cascade axis, and
+every EM phase — candidate values, responsibilities, exposures, MAP
+updates, and the log-likelihood — runs across the entire batch in
+single NumPy calls.
 
 Packing
 -------
@@ -26,22 +26,38 @@ through precomputed raveled indices that include the cascade.
 
 Equivalence contract
 --------------------
-Within one cascade, the E-step reproduces :func:`~.inference.fit_em`'s
-floating-point evaluation order exactly (same ``count * weight * pmf``
-products, same ``np.add.at``/``reduceat`` accumulation order).  The
-exposure and likelihood reductions associate differently (bucket-level
-closed forms replace per-lag cumsums over the expanded ``(K, K, D)``
-PMF, which would not fit in memory with a cascade axis), so batched
-results match the per-URL golden path to floating-point *tolerance*,
-not bit for bit — pinned by ``tests/test_batched_equivalence.py``.
-Cascades never interact, so a cascade's fitted parameters are
-bit-identical for every batch composition, worker count, and chunk
-size.
+Every cascade is evaluated in exactly the floating-point order of the
+historical per-event EM loop (``naive_fit_em`` in the test suite), so
+a cascade's fitted parameters, log-likelihood and iteration count are
+bit-identical to fitting it alone, for every batch composition, worker
+count and chunk size:
+
+* E-step products multiply as ``count * weight * pmf`` and scatter-add
+  in candidate order; per-entry candidate totals use
+  ``np.add.reduceat`` with one trailing ``+0.0`` absorbed by each
+  cascade's final segment, as a lone cascade's sentinel is.
+* Exposure and the rate integral read ``cumsum(expand(buckets))`` at
+  each entry's truncation cap.  It is accumulated lag by lag (a
+  bucket-level closed form would round differently) over only the
+  ``(cascade, source)`` rows entries read, so the working set is one
+  ``(rows, K)`` accumulator, never a ``(C, K, K, D)`` tensor.
+* The likelihood follows :func:`~.model.discrete_log_likelihood`:
+  kernel values ``count * (weight * pmf)`` accumulate onto the
+  background in event order, the integral adds ``(count * weight) *
+  cdf`` rows onto ``background * T`` in event order before summing over
+  processes, and the log term is a sequential sum.
+
+Every scatter-add is an ``np.bincount`` over zeros, which accumulates
+its weights sequentially in element order exactly as ``np.add.at``
+does; accumulations onto a non-zero start put the start values first
+in the same bincount.
+
+``tests/test_batched_equivalence.py`` and
+``tests/test_hawkes_batched.py`` pin all of this against the loop.
 
 Convergence uses per-cascade freeze masks: the iteration a cascade's
-relative log-likelihood delta drops below ``tol`` — exactly when
-``fit_em`` would break — its parameters and likelihood freeze while
-the rest of the batch keeps iterating.
+relative log-likelihood delta drops below ``tol`` its parameters and
+likelihood freeze while the rest of the batch keeps iterating.
 """
 
 from __future__ import annotations
@@ -53,7 +69,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from ...obs import DEFAULT_COUNT_BUCKETS, get_registry
+from ...obs import DEFAULT_COUNT_BUCKETS, DEFAULT_DELTA_BUCKETS, get_registry
 from ..events import DiscreteEvents
 from .basis import LagBasis, LogBinnedLagBasis
 from .inference import FitResult, Priors
@@ -136,7 +152,6 @@ class BatchedParentStructure:
         hi = np.searchsorted(bins, bins, side="left")
         flat_idx, sizes, offsets = segment_ranges(lo, hi)
         self.sizes = sizes
-        self.offsets = offsets
         k = packed.n_processes
         self.flat_src = packed.processes[flat_idx]
         self.flat_lag = np.repeat(bins, sizes) - bins[flat_idx]
@@ -144,6 +159,11 @@ class BatchedParentStructure:
         self.flat_bucket = basis.bucket_of[self.flat_lag - 1]
         self.flat_dst = np.repeat(packed.processes, sizes)
         self.flat_cascade = np.repeat(packed.cascade_of, sizes)
+        # Rate accumulators: each entry's background, then its
+        # candidates in event order (see :meth:`rates`).
+        n_entries = len(packed)
+        self._rate_cell = np.concatenate([
+            np.arange(n_entries), np.repeat(np.arange(n_entries), sizes)])
         self._pair = (self.flat_cascade * k + self.flat_src) * k \
             + self.flat_dst
         self._bucket_index = (self._pair * basis.n_buckets
@@ -152,6 +172,17 @@ class BatchedParentStructure:
             np.float64)
         #: Raveled (C, K) cell of each entry: cascade * K + process.
         self.entry_cell = packed.cascade_of * k + packed.processes
+        # -- segment-sum layout: one +0.0 sentinel after each non-empty
+        # cascade's candidates, so its final segment sums exactly as a
+        # lone cascade's does (reduceat's pairwise grouping depends on
+        # the term count once a segment reaches 8 terms).
+        nonempty = np.diff(packed.entry_offsets) > 0
+        sentinels_before = np.cumsum(nonempty) - nonempty
+        self._padded_size = len(flat_idx) + int(nonempty.sum())
+        self._padded_slot = (np.arange(len(flat_idx), dtype=np.int64)
+                             + sentinels_before[self.flat_cascade])
+        self._padded_starts = (offsets[:-1]
+                               + sentinels_before[packed.cascade_of])
         # -- truncated-exposure precomputation (window-end effects) ------
         local_bins = packed.bins - packed.bin_offsets[packed.cascade_of]
         remaining = packed.n_bins[packed.cascade_of] - 1 - local_bins
@@ -160,57 +191,107 @@ class BatchedParentStructure:
         self.v_cascade = packed.cascade_of[valid]
         self.v_src = packed.processes[valid]
         self.v_cnt = packed.counts[valid]
-        cap = capped[valid]
-        self.v_bucket = basis.bucket_of[cap - 1]
-        lags_below = np.concatenate(
-            [[0], np.cumsum(basis.bucket_sizes)])[self.v_bucket]
-        # Fraction of the cap bucket's mass inside the truncation window.
-        self.v_frac = ((cap - lags_below)
-                       / basis.bucket_sizes[self.v_bucket])
+        self.v_cap = capped[valid]
+        # Raveled (C, K, K) exposure cells of each valid entry's K-wide
+        # row, and raveled (C, K) integral cells: every cascade's
+        # background term, then the entries' rows in event order.
+        dst = np.arange(k)
+        self._exposure_cell = (((self.v_cascade * k + self.v_src)
+                                * k)[:, None] + dst).ravel()
+        self._integral_cell = np.concatenate([
+            np.arange(packed.n_cascades * k),
+            ((self.v_cascade * k)[:, None] + dst).ravel()])
+        # Lag-CDF rows are keyed by raveled (cascade, source); only the
+        # rows some valid entry reads are ever accumulated, each entry
+        # reads its row at the lag equal to its cap, and accumulation
+        # stops at the largest cap.
+        self._cdf_rows, v_row = np.unique(
+            self.v_cascade * k + self.v_src, return_inverse=True)
+        by_cap = np.argsort(self.v_cap, kind="stable")
+        caps, starts = np.unique(self.v_cap[by_cap], return_index=True)
+        self._captures = {
+            int(cap): (entries, v_row[entries])
+            for cap, entries in zip(caps, np.split(by_cap, starts[1:]))}
+        max_cap = int(caps[-1]) if len(caps) else 0
+        self._lag_buckets = basis.bucket_of[:max_cap].tolist()
 
-    def candidate_values(self, weights_flat: np.ndarray,
-                         buckets_flat: np.ndarray) -> np.ndarray:
-        """``count * W[c, src, dst] * pmf[c, src, dst, lag - 1]`` for
-        every candidate, as flat gathers; the per-lag PMF value is the
-        bucket probability spread uniformly over the bucket's lags.
+    def lookups(self, weights: np.ndarray, buckets: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What the E-step, exposure and likelihood read of one
+        parameter set: every candidate's ``W[c, src, dst]`` and per-lag
+        PMF (the bucket probability spread uniformly over the bucket's
+        lags, as ``basis.expand`` does), and the valid entries' lag-CDF
+        rows (:meth:`truncation_cdf_rows`).
         """
-        if not len(self._pair):
-            return np.empty(0, dtype=np.float64)
-        return (self.flat_cnt * weights_flat[self._pair]
-                * (buckets_flat[self._bucket_index] / self._bucket_size))
+        flat_weight = weights.reshape(-1)[self._pair]
+        flat_pmf = buckets.reshape(-1)[self._bucket_index] / self._bucket_size
+        return flat_weight, flat_pmf, self.truncation_cdf_rows(buckets)
 
     def segment_sums(self, flat_vals: np.ndarray) -> np.ndarray:
         """Per-entry candidate-mass totals, ``(n_entries,)``."""
         if not len(flat_vals):
             return np.zeros(len(self.packed))
-        sums = np.add.reduceat(np.concatenate([flat_vals, [0.0]]),
-                               self.offsets[:-1])
+        padded = np.zeros(self._padded_size)
+        padded[self._padded_slot] = flat_vals
+        sums = np.add.reduceat(padded, self._padded_starts)
         sums[self.sizes == 0] = 0.0
         return sums
 
     def truncation_cdf_rows(self, buckets: np.ndarray) -> np.ndarray:
-        """Lag-CDF rows ``cdf[c, src, :, cap - 1]`` per valid entry.
+        """Lag-CDF rows ``cumsum(expand(buckets))[c, src, :, cap - 1]``.
 
-        ``(n_valid, K)``: full buckets below the cap bucket plus the
-        covered fraction of the cap bucket — the bucket-level closed
-        form of the per-lag cumsum the per-URL kernels use.
+        ``(n_valid, K)``, one row per valid entry.  The per-lag cumsum
+        runs lag by lag across every ``(cascade, source)`` row entries
+        read, so the working set is one ``(rows, K)`` accumulator.
         """
-        below = np.zeros_like(buckets)
-        np.cumsum(buckets[..., :-1], axis=3, out=below[..., 1:])
-        return (below[self.v_cascade, self.v_src, :, self.v_bucket]
-                + self.v_frac[:, None]
-                * buckets[self.v_cascade, self.v_src, :, self.v_bucket])
-
-    def exposure(self, buckets: np.ndarray) -> np.ndarray:
-        """Truncated exposure ``E[c, i, j]`` for the whole batch."""
-        packed = self.packed
-        out = np.zeros((packed.n_cascades, packed.n_processes,
-                        packed.n_processes))
-        if len(self.v_cascade):
-            rows = self.truncation_cdf_rows(buckets)
-            np.add.at(out, (self.v_cascade, self.v_src),
-                      self.v_cnt[:, None] * rows)
+        k = self.packed.n_processes
+        n_buckets = self.basis.n_buckets
+        per_lag = (buckets.reshape(-1, k, n_buckets)[self._cdf_rows]
+                   / self.basis.bucket_sizes)
+        steps = np.ascontiguousarray(per_lag.reshape(-1, n_buckets).T)
+        acc = np.zeros(steps.shape[1])
+        rows = acc.reshape(-1, k)
+        out = np.empty((len(self.v_cap), k))
+        for lag, bucket in enumerate(self._lag_buckets, start=1):
+            acc += steps[bucket]
+            capture = self._captures.get(lag)
+            if capture is not None:
+                entries, entry_rows = capture
+                out[entries] = rows[entry_rows]
         return out
+
+    def exposure(self, cdf_rows: np.ndarray) -> np.ndarray:
+        """Truncated exposure ``E[c, i, j]`` from the entries' CDF rows."""
+        c, k = self.packed.n_cascades, self.packed.n_processes
+        return np.bincount(self._exposure_cell,
+                           (self.v_cnt[:, None] * cdf_rows).ravel(),
+                           c * k * k).reshape(c, k, k)
+
+    def rates(self, background: np.ndarray, flat_weight: np.ndarray,
+              flat_pmf: np.ndarray) -> np.ndarray:
+        """Rate at every entry: its background, then each candidate's
+        ``count * (W * pmf)`` in event order, as
+        :func:`~.model.expected_rate` accumulates them."""
+        n_entries = len(self.packed)
+        kernel = self.flat_cnt * (flat_weight * flat_pmf)
+        return np.bincount(
+            self._rate_cell,
+            np.concatenate([background.reshape(-1)[self.entry_cell],
+                            kernel]), n_entries)
+
+    def rate_integral(self, background: np.ndarray, weights: np.ndarray,
+                      cdf_rows: np.ndarray) -> np.ndarray:
+        """``(C, K)`` rate integrals: ``background * T``, then each valid
+        entry's ``(count * W) * cdf`` row in event order, as
+        :func:`~.model.rate_integral` accumulates them."""
+        c, k = self.packed.n_cascades, self.packed.n_processes
+        rows = (self.v_cnt[:, None] * weights[self.v_cascade, self.v_src]
+                * cdf_rows)
+        return np.bincount(
+            self._integral_cell,
+            np.concatenate([
+                (background * self.packed.n_bins[:, None]).ravel(),
+                rows.ravel()]), c * k).reshape(c, k)
 
 
 @dataclass(frozen=True)
@@ -219,8 +300,7 @@ class BatchedEMResult:
 
     Parameters stay stacked (cascade-leading axes) so a corpus driver
     can slice rows without materializing ``C`` expanded ``(K, K, D)``
-    impulse arrays; :meth:`fit_result` expands one cascade on demand
-    for API parity with :func:`~.inference.fit_em`.
+    impulse arrays; :meth:`fit_result` expands one cascade on demand.
     """
 
     background: np.ndarray      # (C, K)
@@ -234,7 +314,7 @@ class BatchedEMResult:
         return len(self.log_likelihood)
 
     def fit_result(self, cascade: int) -> FitResult:
-        """One cascade's fit as a :func:`~.inference.fit_em`-style result."""
+        """One cascade's fit as a :func:`~.inference.fit_em` result."""
         params = HawkesParams(
             background=self.background[cascade].copy(),
             weights=self.weights[cascade].copy(),
@@ -244,27 +324,40 @@ class BatchedEMResult:
                          n_iterations=int(self.n_iterations[cascade]))
 
 
-def _record_batch_metrics(n_cascades: int, max_iterations: int,
-                          total: float, phases: dict[str, float]) -> None:
+def _record_batch_metrics(n_iterations: np.ndarray, deltas: np.ndarray,
+                          sweeps: int, total: float,
+                          phases: dict[str, float]) -> None:
     """Observe one completed batched fit (pure timing, RNG-free)."""
     registry = get_registry()
     registry.counter("repro_fit_batch_total",
                      "Completed batched EM corpus fits.", method="em").inc()
     registry.counter("repro_fit_total",
                      "Completed per-URL Hawkes fits.",
-                     method="em-batched").inc(n_cascades)
+                     method="em").inc(len(n_iterations))
+    iterations = registry.histogram(
+        "repro_fit_em_iterations", "EM iterations to convergence.",
+        edges=DEFAULT_COUNT_BUCKETS)
+    for count in n_iterations:
+        iterations.observe(count)
+    convergence = registry.histogram(
+        "repro_fit_em_convergence_delta",
+        "Final relative log-likelihood delta at EM termination.",
+        edges=DEFAULT_DELTA_BUCKETS)
+    for delta in deltas[np.isfinite(deltas)]:
+        convergence.observe(delta)
     registry.histogram("repro_fit_batch_cascades",
                        "Cascades packed into one batched EM fit.",
-                       edges=DEFAULT_COUNT_BUCKETS).observe(n_cascades)
+                       edges=DEFAULT_COUNT_BUCKETS).observe(
+                           len(n_iterations))
     registry.histogram("repro_fit_batch_iterations",
                        "EM iterations until the whole batch converged.",
-                       edges=DEFAULT_COUNT_BUCKETS).observe(max_iterations)
+                       edges=DEFAULT_COUNT_BUCKETS).observe(sweeps)
     registry.histogram("repro_fit_batch_seconds",
                        "Wall time of one batched EM fit.").observe(total)
     phase_help = "Kernel wall time per fit phase, summed over sweeps."
     for phase, seconds in phases.items():
         registry.histogram("repro_fit_phase_seconds", phase_help,
-                           method="em-batched", phase=phase).observe(seconds)
+                           method="em", phase=phase).observe(seconds)
 
 
 def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
@@ -274,19 +367,18 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
                    tol: float = 1e-6) -> BatchedEMResult:
     """Deterministic MAP EM over a batch of cascades, all phases batched.
 
-    Semantically ``[fit_em(ev, max_lag, ...) for ev in events_list]``
-    with one array program instead of ``C`` dispatch loops; see the
-    module docstring for the (tolerance-level) equivalence contract.
-    Each cascade iterates until its own relative log-likelihood delta
-    drops below ``tol`` (then freezes) or ``max_iterations`` is hit.
+    Each cascade's result is bit-identical to fitting it alone (see the
+    module docstring).  Each cascade iterates until its own relative
+    log-likelihood delta drops below ``tol`` (then freezes) or
+    ``max_iterations`` is hit.
 
-    Converged cascades first freeze (``np.where`` masking), and once
-    half the working set is frozen the batch is *compacted*: frozen
-    results are flushed to the output arrays and the survivors are
-    repacked into a smaller batch.  Cascades never interact, so
-    compaction is invisible in the results (bit-identical to never
-    compacting); it only stops long-tail cascades from dragging the
-    already-converged majority through extra full-batch sweeps.
+    Converged cascades first freeze (``np.where`` masking), and once a
+    quarter of the working set is frozen the batch is *compacted*:
+    frozen results are flushed to the output arrays and the survivors
+    are repacked into a smaller batch.  Cascades never interact, so
+    compaction is invisible in the results; it only stops long-tail
+    cascades from dragging the already-converged majority through
+    extra full-batch sweeps (a repack costs about one full-batch sweep).
     """
     priors = priors or Priors()
     basis = basis or LogBinnedLagBasis(max_lag)
@@ -302,8 +394,8 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
     n_buckets = basis.n_buckets
 
     # -- initialization (mirrors inference._initial_state per cascade) ---
-    totals_per = np.zeros((n_casc, k_procs))
-    np.add.at(totals_per.reshape(-1), structure.entry_cell, packed.counts)
+    totals_per = np.bincount(structure.entry_cell, packed.counts,
+                             n_casc * k_procs).reshape(n_casc, k_procs)
     background = np.maximum(
         np.full((n_casc, k_procs),
                 priors.background_shape / priors.background_rate),
@@ -312,6 +404,9 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
                       priors.weight_shape / priors.weight_rate)
     buckets = np.full((n_casc, k_procs, k_procs, n_buckets),
                       1.0 / n_buckets)
+    # Each sweep's likelihood computes the lookups of the updated
+    # parameters, which the next sweep's E-step and exposure reuse.
+    flat_weight, flat_pmf, cdf_rows = structure.lookups(weights, buckets)
 
     counts = packed.counts
     entry_cell = structure.entry_cell
@@ -327,10 +422,12 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
     out_buckets = np.empty((n_total, k_procs, k_procs, n_buckets))
     out_ll = np.full(n_total, -np.inf)
     out_iterations = np.zeros(n_total, dtype=np.int64)
+    out_delta = np.full(n_total, np.inf)
 
     active = np.ones(n_casc, dtype=bool)
     previous_ll = np.full(n_casc, -np.inf)
     final_ll = np.full(n_casc, -np.inf)
+    final_delta = np.full(n_casc, np.inf)
     n_iterations = np.zeros(n_casc, dtype=np.int64)
     attribution_s = updates_s = likelihood_s = 0.0
     iterations_run = 0
@@ -340,32 +437,28 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         iterations_run = iteration + 1
         phase_start = perf_counter()
         # -- E-step: responsibilities over the whole batch ----------------
-        flat_vals = structure.candidate_values(weights.reshape(-1),
-                                               buckets.reshape(-1))
+        flat_vals = structure.flat_cnt * flat_weight * flat_pmf
         seg_sums = structure.segment_sums(flat_vals)
         entry_bg = background.reshape(-1)[entry_cell]
         totals = entry_bg + seg_sums
         safe = totals > 0
         denominator = np.where(safe, totals, 1.0)
         bg_resp = np.where(safe, counts * entry_bg / denominator, counts)
-        z_background = np.zeros((n_casc, k_procs))
-        np.add.at(z_background.reshape(-1), entry_cell, bg_resp)
-        z_weight = np.zeros(n_casc * k_procs * k_procs)
-        z_bucket = np.zeros(n_casc * k_procs * k_procs * n_buckets)
-        if len(flat_vals):
-            scale = np.where(safe, counts / denominator, 0.0)
-            flat_resp = flat_vals * np.repeat(scale, structure.sizes)
-            np.add.at(z_weight, structure._pair, flat_resp)
-            np.add.at(z_bucket, structure._bucket_index, flat_resp)
-        z_weight = z_weight.reshape(n_casc, k_procs, k_procs)
-        z_bucket = z_bucket.reshape(n_casc, k_procs, k_procs, n_buckets)
+        z_background = np.bincount(entry_cell, bg_resp, n_casc * k_procs
+                                   ).reshape(n_casc, k_procs)
+        scale = np.where(safe, counts / denominator, 0.0)
+        flat_resp = flat_vals * np.repeat(scale, structure.sizes)
+        z_weight = np.bincount(structure._pair, flat_resp, weights.size
+                               ).reshape(weights.shape)
+        z_bucket = np.bincount(structure._bucket_index, flat_resp,
+                               buckets.size).reshape(buckets.shape)
         attribution_s += perf_counter() - phase_start
         # -- MAP M-step ----------------------------------------------------
         phase_start = perf_counter()
         new_background = np.maximum(
             (priors.background_shape - 1.0 + z_background)
             / bg_denominator, _EPS)
-        exposure = structure.exposure(buckets)
+        exposure = structure.exposure(cdf_rows)
         new_weights = np.maximum(
             (priors.weight_shape - 1.0 + z_weight)
             / (priors.weight_rate + exposure), 0.0)
@@ -376,29 +469,19 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         updates_s += perf_counter() - phase_start
         # -- log-likelihood of the updated parameters ----------------------
         phase_start = perf_counter()
-        vals = structure.candidate_values(new_weights.reshape(-1),
-                                          new_buckets.reshape(-1))
-        rates = new_background.reshape(-1)[entry_cell] \
-            + structure.segment_sums(vals)
-        log_terms = np.zeros(n_casc)
-        degenerate = np.zeros(n_casc, dtype=bool)
-        if len(rates):
-            positive = rates > 0
-            terms = (counts * np.log(np.where(positive, rates, 1.0))
-                     - log_factorials)
-            np.add.at(log_terms, cascade_of, terms)
-            if not positive.all():
-                degenerate[cascade_of[~positive]] = True
-        integral = (new_background * packed.n_bins[:, None]).sum(axis=1)
-        if len(structure.v_cascade):
-            cdf_rows = structure.truncation_cdf_rows(new_buckets)
-            weight_rows = new_weights[structure.v_cascade,
-                                      structure.v_src, :]
-            np.add.at(integral, structure.v_cascade,
-                      structure.v_cnt
-                      * (cdf_rows * weight_rows).sum(axis=1))
+        # Adopted unmasked: a frozen cascade's next-sweep updates are
+        # masked out below, so nothing reads its lookups again.
+        flat_weight, flat_pmf, cdf_rows = structure.lookups(new_weights,
+                                                            new_buckets)
+        rates = structure.rates(new_background, flat_weight, flat_pmf)
+        positive = rates > 0
+        terms = (counts * np.log(np.where(positive, rates, 1.0))
+                 - log_factorials)
+        log_terms = np.bincount(cascade_of, terms, n_casc)
+        integral = structure.rate_integral(new_background, new_weights,
+                                           cdf_rows).sum(axis=1)
         current_ll = log_terms - integral
-        current_ll[degenerate] = -np.inf
+        current_ll[np.bincount(cascade_of, ~positive, n_casc) > 0] = -np.inf
         likelihood_s += perf_counter() - phase_start
         # -- adopt updates for active cascades; freeze the converged -------
         background = np.where(active[:, None], new_background, background)
@@ -412,13 +495,15 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
         # False, so silence the invalid-value warning NumPy raises for
         # the array form of the same scalar check fit_em runs.
         with np.errstate(invalid="ignore"):
-            converged = (np.abs(current_ll - previous_ll)
-                         < tol * (1.0 + np.abs(previous_ll)))
+            change = np.abs(current_ll - previous_ll)
+            reference = 1.0 + np.abs(previous_ll)
+            converged = change < tol * reference
+            final_delta = np.where(active, change / reference, final_delta)
         previous_ll = np.where(active, current_ll, previous_ll)
         active &= ~converged
         # -- compaction: flush the frozen, repack the survivors ------------
         n_active = int(active.sum())
-        if (0 < n_active <= n_casc // 2
+        if (0 < n_active <= n_casc * 3 // 4
                 and n_casc >= _COMPACT_MIN_CASCADES):
             frozen = np.flatnonzero(~active)
             out_background[orig[frozen]] = background[frozen]
@@ -426,14 +511,19 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
             out_buckets[orig[frozen]] = buckets[frozen]
             out_ll[orig[frozen]] = final_ll[frozen]
             out_iterations[orig[frozen]] = n_iterations[frozen]
+            out_delta[orig[frozen]] = final_delta[frozen]
             keep = np.flatnonzero(active)
             work = [work[i] for i in keep]
             orig = orig[keep]
             background = np.ascontiguousarray(background[keep])
             weights = np.ascontiguousarray(weights[keep])
             buckets = np.ascontiguousarray(buckets[keep])
+            flat_weight = flat_weight[active[structure.flat_cascade]]
+            flat_pmf = flat_pmf[active[structure.flat_cascade]]
+            cdf_rows = cdf_rows[active[structure.v_cascade]]
             previous_ll = previous_ll[keep]
             final_ll = final_ll[keep]
+            final_delta = final_delta[keep]
             n_iterations = n_iterations[keep]
             packed = PackedCascades(work, basis.max_lag)
             structure = BatchedParentStructure(packed, basis)
@@ -453,8 +543,9 @@ def fit_em_batched(events_list: Sequence[DiscreteEvents], max_lag: int,
     out_buckets[orig] = buckets
     out_ll[orig] = final_ll
     out_iterations[orig] = n_iterations
+    out_delta[orig] = final_delta
 
-    _record_batch_metrics(n_total, iterations_run,
+    _record_batch_metrics(out_iterations, out_delta, iterations_run,
                           perf_counter() - fit_start, {
                               "attribution": attribution_s,
                               "updates": updates_s,

@@ -5,36 +5,36 @@ Gibbs parent attribution, exposure, rate evaluation, and the exact
 log-likelihood — is expressed here as a flat array program over
 *segments*: per-event candidate lists are concatenated into single
 arrays partitioned by an ``offsets`` vector, in the spirit of the
-vectorized conjugate updates of Linderman & Adams.  The fitters in
-:mod:`.inference`, the likelihood in :mod:`.model`, and the residual
+vectorized conjugate updates of Linderman & Adams.  The Gibbs sampler
+in :mod:`.inference`, the likelihood in :mod:`.model`, and the residual
 checks in :mod:`.diagnostics` all share these kernels, so no caller
 pays for a per-event Python loop.
 
 Bit-compatibility contract
 --------------------------
-The EM fitter is required to produce *bit-identical* results to the
-historical per-event loops, so every kernel used on the EM path
-preserves the exact floating-point evaluation and accumulation order of
-those loops: per-candidate products multiply left-to-right as
-``count * weight * pmf``, and scatter-adds use :func:`np.ufunc.at` /
-``np.cumsum``, both of which accumulate sequentially in element order
-(a plain ``sum()`` would re-associate via pairwise summation and drift
-in the last bits).  The Gibbs sampler keeps seed-determinism — same
-seed, same result — but its *draw stream* differs from the historical
-sampler: one bulk uniform pass replaces per-event ``multinomial``
-calls (the sampled law is unchanged; a multinomial is a sum of i.i.d.
-categorical draws).
+The rate and likelihood kernels are required to produce
+*bit-identical* results to the historical per-event loops, so they
+preserve the exact floating-point evaluation and accumulation order of
+those loops: per-candidate products multiply left-to-right, and
+scatter-adds use :func:`np.ufunc.at` / ``np.cumsum``, both of which
+accumulate sequentially in element order (a plain ``sum()`` would
+re-associate via pairwise summation and drift in the last bits).  The
+batched EM engine (:mod:`.batched`) keeps the same orders.  The Gibbs
+sampler keeps seed-determinism — same seed, same result — but its
+*draw stream* differs from the historical sampler: one bulk uniform
+pass replaces per-event ``multinomial`` calls (the sampled law is
+unchanged; a multinomial is a sum of i.i.d. categorical draws).
 
 Caching
 -------
 :func:`get_parent_structure` memoizes the :class:`ParentStructure` on
 the (immutable) :class:`~repro.core.events.DiscreteEvents` instance,
 keyed by basis content, and :func:`get_query_structure` does the same
-for the default rate-evaluation grid.  EM, Gibbs, diagnostics, and —
-because the live refitter opts into memoized cascade binning
+for the default rate-evaluation grid.  Gibbs, the likelihood,
+diagnostics, and — through memoized cascade binning
 (:func:`repro.core.influence.cascade_to_events` with ``memoize=True``)
-— repeated refits over the same window all reuse one build.  The cache
-dies with the events object (and is dropped from pickles by
+— repeated Gibbs refits over the same window all reuse one build.  The
+cache dies with the events object (and is dropped from pickles by
 ``DiscreteEvents.__getstate__``), so corpora of transient per-URL
 matrices cannot leak or bloat worker payloads.
 """
@@ -186,15 +186,6 @@ class ParentStructure:
     def exposure(self, lag_cdf: np.ndarray) -> np.ndarray:
         """Truncated exposure ``E[i, j]`` under the lag CDF ``(K, K, D)``."""
         return exposure(self.events, lag_cdf, self.basis.max_lag)
-
-    def segment_sums(self, flat_vals: np.ndarray) -> np.ndarray:
-        """Per-event candidate-mass totals ``(n_events,)``."""
-        if not len(flat_vals):
-            return np.zeros(len(self.events))
-        sums = np.add.reduceat(np.concatenate([flat_vals, [0.0]]),
-                               self.offsets[:-1])
-        sums[self.sizes == 0] = 0.0
-        return sums
 
 
 def get_parent_structure(events: DiscreteEvents,

@@ -34,10 +34,9 @@ from ..timeutil import Interval, in_any_interval
 from .events import DiscreteEvents, bin_timestamps
 from .hawkes.basis import LagBasis, LogBinnedLagBasis
 from .hawkes.batched import fit_em_batched
-from .hawkes.inference import FitResult, Priors, fit_em, fit_gibbs
+from .hawkes.inference import Priors, fit_gibbs
 
 FitMethod = Literal["gibbs", "em"]
-Engine = Literal["per-url", "batched"]
 
 #: Cascades packed into one batched EM fit, at most.  Bounds the flat
 #: candidate arrays (memory scales with total events in the batch, not
@@ -203,24 +202,20 @@ def cascade_to_events(cascade: UrlCascade,
     return builder(cascade, tuple(processes), float(delta_t))
 
 
-def _fit_one_url(task: tuple[UrlCascade, np.random.SeedSequence | None],
-                 *, config: HawkesConfig, method: FitMethod,
-                 processes: tuple[str, ...], basis: LagBasis,
-                 priors: Priors, keep_samples: bool,
+def _fit_one_url(task: tuple[UrlCascade, np.random.SeedSequence], *,
+                 config: HawkesConfig, processes: tuple[str, ...],
+                 basis: LagBasis, priors: Priors, keep_samples: bool,
                  memoize_events: bool) -> UrlFit:
-    """Fit a single cascade; module-level so it crosses process lines."""
+    """Gibbs-fit a single cascade; module-level so it crosses process
+    lines."""
     cascade, seed = task
     events = cascade_to_events(cascade, processes, config.delta_t,
                                memoize=memoize_events)
-    if method == "gibbs":
-        result: FitResult = fit_gibbs(
-            events, config.max_lag_bins, basis=basis, priors=priors,
-            n_iterations=config.gibbs_iterations,
-            burn_in=config.gibbs_burn_in, rng=np.random.default_rng(seed),
-            keep_samples=keep_samples)
-    else:
-        result = fit_em(events, config.max_lag_bins, basis=basis,
-                        priors=priors)
+    result = fit_gibbs(
+        events, config.max_lag_bins, basis=basis, priors=priors,
+        n_iterations=config.gibbs_iterations,
+        burn_in=config.gibbs_burn_in, rng=np.random.default_rng(seed),
+        keep_samples=keep_samples)
     return UrlFit(
         url=cascade.url,
         category=cascade.category,
@@ -229,15 +224,14 @@ def _fit_one_url(task: tuple[UrlCascade, np.random.SeedSequence | None],
         event_counts=events.events_per_process(),
         n_bins=events.n_bins,
         log_likelihood=result.log_likelihood,
-        weight_samples=(result.weight_samples
-                        if keep_samples and method == "gibbs" else None),
+        weight_samples=result.weight_samples if keep_samples else None,
     )
 
 
 def _fit_batch(chunk: Sequence[UrlCascade], *, config: HawkesConfig,
                processes: tuple[str, ...], basis: LagBasis,
                priors: Priors, memoize_events: bool) -> list[UrlFit]:
-    """Fit one packed batch of cascades; module-level for pickling."""
+    """EM-fit one packed batch of cascades; module-level for pickling."""
     events_list = [cascade_to_events(c, processes, config.delta_t,
                                      memoize=memoize_events)
                    for c in chunk]
@@ -268,43 +262,37 @@ def fit_corpus(cascades: Sequence[UrlCascade],
                chunk_size: int | None = None,
                keep_samples: bool = False,
                memoize_events: bool = False,
-               engine: Engine = "per-url",
                ) -> InfluenceResult:
     """Fit one Hawkes model per URL and collect the results.
 
     Per-URL fits are independent, so the corpus fans out over
     ``n_jobs`` worker processes (:func:`repro.parallel.parallel_map`);
     ``n_jobs=1`` keeps everything in-process and ``-1`` uses every
-    core.  Each URL draws from its own random stream spawned from
-    ``rng`` and keyed by corpus position (task index), which makes the
-    result **bit-for-bit identical for every** ``n_jobs`` **and**
-    ``chunk_size`` — the property the ``tests/test_parallel_*`` suites
-    enforce.  ``rng`` accepts a ``Generator``, ``SeedSequence``,
-    integer seed, or ``None`` (fresh entropy).  ``memoize_events=True``
-    reuses binned event matrices (and their kernel caches) across calls
+    core.  The result is **bit-for-bit identical for every** ``n_jobs``
+    **and** ``chunk_size`` — the property the ``tests/test_parallel_*``
+    and ``tests/test_batched_equivalence.py`` suites enforce.
+    ``memoize_events=True`` reuses binned event matrices across calls
     that see the same cascades — the live refitter's sliding window —
     at the cost of LRU retention; one-shot corpus fits leave it off.
 
-    ``engine`` selects how EM fits execute.  ``"per-url"`` (default,
-    the golden reference) dispatches one fit per cascade.
-    ``"batched"`` packs each chunk of cascades into one flat array
-    program (:func:`~.hawkes.batched.fit_em_batched`) so thousands of
-    small cascades fit as a handful of NumPy calls per EM sweep; it
-    requires ``method="em"`` and matches the per-URL path to floating
-    point tolerance (each cascade's result is bit-identical for every
-    batch composition, but batched and per-URL reductions associate
-    differently).
+    ``method="gibbs"`` dispatches one sampler per URL, each drawing from
+    its own random stream spawned from ``rng`` and keyed by corpus
+    position (task index).  ``rng`` accepts a ``Generator``,
+    ``SeedSequence``, integer seed, or ``None`` (fresh entropy).
+    ``keep_samples`` keeps each URL's posterior weight draws.
+
+    ``method="em"`` is deterministic and ignores ``rng``: the corpus is
+    split into contiguous batches of at most :data:`MAX_BATCH_CASCADES`
+    cascades, ``chunk_size`` at most, and ``parallel_map`` fans the
+    *batches* out over workers.  Each batch is one array program
+    (:func:`~.hawkes.batched.fit_em_batched`) whose per-cascade results
+    are bit-identical to :func:`~.hawkes.inference.fit_em` on that
+    cascade alone.
     """
     config = config or HawkesConfig()
     basis = basis or LogBinnedLagBasis(config.max_lag_bins)
     if method not in ("gibbs", "em"):
         raise ValueError(f"unknown fit method {method!r}")
-    if engine not in ("per-url", "batched"):
-        raise ValueError(f"unknown fit engine {engine!r}")
-    if engine == "batched" and method != "em":
-        raise ValueError(
-            "engine='batched' requires method='em' (Gibbs batching is "
-            "not implemented; see ROADMAP)")
     priors = Priors(
         background_shape=config.background_shape,
         background_rate=config.background_rate,
@@ -312,42 +300,30 @@ def fit_corpus(cascades: Sequence[UrlCascade],
         weight_rate=config.weight_rate,
         impulse_concentration=config.impulse_concentration,
     )
-    if engine == "batched":
-        return _fit_corpus_batched(
+    if method == "em":
+        return _fit_corpus_em(
             cascades, config=config, processes=tuple(processes),
             basis=basis, priors=priors, progress=progress, n_jobs=n_jobs,
             chunk_size=chunk_size, memoize_events=memoize_events)
-    if method == "gibbs":
-        seeds: Sequence[np.random.SeedSequence | None] = spawn_task_seeds(
-            rng, len(cascades))
-    else:  # EM is deterministic; don't advance the caller's seed state
-        seeds = [None] * len(cascades)
     fit_one = partial(
-        _fit_one_url, config=config, method=method,
-        processes=tuple(processes), basis=basis, priors=priors,
-        keep_samples=keep_samples, memoize_events=memoize_events)
+        _fit_one_url, config=config, processes=tuple(processes),
+        basis=basis, priors=priors, keep_samples=keep_samples,
+        memoize_events=memoize_events)
+    seeds = spawn_task_seeds(rng, len(cascades))
     with span("fit_corpus", urls=len(cascades), method=method,
-              engine="per-url", n_jobs=n_jobs):
+              n_jobs=n_jobs):
         fits = parallel_map(fit_one, zip(cascades, seeds), n_jobs=n_jobs,
                             chunk_size=chunk_size, progress=progress)
     return InfluenceResult(processes=tuple(processes), fits=fits)
 
 
-def _fit_corpus_batched(cascades: Sequence[UrlCascade], *,
-                        config: HawkesConfig, processes: tuple[str, ...],
-                        basis: LagBasis, priors: Priors,
-                        progress: Callable[[int, int], None] | None,
-                        n_jobs: int | None, chunk_size: int | None,
-                        memoize_events: bool) -> InfluenceResult:
-    """Batched-engine corpus fit: each parallel task is one packed batch.
-
-    The corpus is split into contiguous batches of at most
-    :data:`MAX_BATCH_CASCADES` cascades; ``parallel_map`` then fans the
-    *batches* out over workers, so each worker runs one array program
-    per batch instead of N tiny per-URL fits.  Cascades never interact
-    inside a batch, so the per-URL results are bit-identical for every
-    batch size and worker count.
-    """
+def _fit_corpus_em(cascades: Sequence[UrlCascade], *,
+                   config: HawkesConfig, processes: tuple[str, ...],
+                   basis: LagBasis, priors: Priors,
+                   progress: Callable[[int, int], None] | None,
+                   n_jobs: int | None, chunk_size: int | None,
+                   memoize_events: bool) -> InfluenceResult:
+    """EM corpus fit: each parallel task is one packed batch."""
     n_urls = len(cascades)
     workers = resolve_n_jobs(n_jobs)
     if chunk_size is None:
@@ -363,8 +339,7 @@ def _fit_corpus_batched(cascades: Sequence[UrlCascade], *,
     if progress is not None:
         def batch_progress(done: int, total: int) -> None:
             progress(min(done * batch_size, n_urls), n_urls)
-    with span("fit_corpus", urls=n_urls, method="em", engine="batched",
-              n_jobs=n_jobs):
+    with span("fit_corpus", urls=n_urls, method="em", n_jobs=n_jobs):
         nested = parallel_map(fit_batch, batches, n_jobs=n_jobs,
                               chunk_size=1, progress=batch_progress)
     fits = [fit for batch in nested for fit in batch]

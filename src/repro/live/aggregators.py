@@ -272,7 +272,7 @@ class FirstHopAggregator:
 
         Venue routing is memoized (one ``slice_of`` call per distinct
         venue, ever) and the loop runs over native lists, so dict key
-        insertion order — urls and per-url slices alike — is exactly
+        insertion order — urls and per-URL slices alike — is exactly
         :meth:`update`'s.
         """
         if not len(batch) or not batch.n_urls:
@@ -435,7 +435,7 @@ class CascadeAssembler:
         # Iterate url groups by first *valid* occurrence (the stable
         # sort makes sort_idx[a] each group's earliest position), so
         # events/categories key order matches the row path; extending
-        # a sorted per-url run and re-sorting equals repeated insort
+        # a sorted per-URL run and re-sorting equals repeated insort
         # because equal (t, process) tuples are indistinguishable.
         spans = list(zip(bounds, bounds[1:]))
         group_order = np.argsort(

@@ -19,7 +19,6 @@ import numpy as np
 from ..config import HAWKES_PROCESSES, HawkesConfig
 from ..obs import get_registry
 from ..core.influence import (
-    Engine,
     FitMethod,
     InfluenceResult,
     select_urls,
@@ -42,15 +41,13 @@ class RefitPolicy:
     quiet_seconds: float = 2 * SECONDS_PER_DAY
     #: Cap on URLs per refit (keeps a refit's cost bounded).
     max_urls: int = 100
-    #: Fit method; EM is deterministic and much cheaper than Gibbs,
-    #: which matters when refitting continuously.
+    #: Fit method; EM is deterministic and much cheaper than Gibbs
+    #: (the window fits as one batched array program), which matters
+    #: when refitting continuously.
     method: FitMethod = "em"
     #: Worker processes per refit (see :mod:`repro.parallel`); results
     #: are identical for any value, so this is purely a latency knob.
     n_jobs: int = 1
-    #: Corpus fit execution strategy; "batched" packs the window into
-    #: one array program per chunk (EM only, tolerance-equivalent).
-    engine: Engine = "per-url"
 
 
 @dataclass
@@ -110,7 +107,8 @@ class WindowedHawkesRefitter:
         refit_start = perf_counter()
         rng = np.random.default_rng(self.seed + self.n_refits)
         # Overlapping windows refit the same settled cascades; memoized
-        # event binning lets their kernel structures carry over.  Worker
+        # event binning lets their binned matrices (and, for Gibbs,
+        # their kernel structures) carry over.  Worker
         # pools are rebuilt per refit, so the memo only survives (and is
         # only requested) on the in-process n_jobs=1 path.
         processes = (self.ecosystem.processes if self.ecosystem is not None
@@ -118,8 +116,7 @@ class WindowedHawkesRefitter:
         result = fit_corpus(corpus, self.config, method=self.policy.method,
                             processes=processes,
                             rng=rng, n_jobs=self.policy.n_jobs,
-                            memoize_events=self.policy.n_jobs == 1,
-                            engine=self.policy.engine)
+                            memoize_events=self.policy.n_jobs == 1)
         self.last_result = result
         self.n_refits += 1
         registry.histogram(

@@ -22,14 +22,20 @@ Metrics catalog, stage by stage
     repro_live_refit_corpus_urls            gauge      URLs in the last refit window
     repro_live_checkpoint_seconds           histogram  checkpoint save wall time
 
-**Hawkes fitters** (:mod:`repro.core.hawkes.inference`) ::
+**Hawkes fitters** (:mod:`repro.core.hawkes.inference`, and
+:mod:`repro.core.hawkes.batched` for EM, which reports every cascade of
+a batch) ::
 
     repro_fit_total{method}                 counter    completed per-URL fits
-    repro_fit_seconds{method}               histogram  one fit, wall time
+    repro_fit_seconds{method}               histogram  one Gibbs fit, wall time
     repro_fit_em_iterations                 histogram  EM iterations to convergence
     repro_fit_em_convergence_delta          histogram  final relative log-likelihood delta
     repro_fit_phase_seconds{method,phase}   histogram  kernel time per phase
                                                        (attribution / updates / likelihood)
+    repro_fit_batch_total{method}           counter    completed batched EM fits
+    repro_fit_batch_cascades                histogram  cascades per batch
+    repro_fit_batch_iterations              histogram  sweeps until the batch converged
+    repro_fit_batch_seconds                 histogram  one batch, wall time
 
 **Parallel fan-out** (:mod:`repro.parallel`) — per-worker metrics are
 collected in the worker (:func:`collecting`), shipped back with the

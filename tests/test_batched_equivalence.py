@@ -1,11 +1,11 @@
-"""Batched-vs-per-URL corpus equivalence (golden + property form).
+"""Corpus EM against the per-URL oracle (golden + property form).
 
-The per-URL EM path is the golden reference: ``engine="batched"`` must
-reproduce it within floating-point tolerance for every batch size and
-worker count (mirroring ``tests/test_parallel_equivalence.py``, which
-pins the per-URL path bit-for-bit across ``n_jobs``).  Between batched
-runs the bar is higher — cascades never interact inside a batch, so
-chunking and fan-out must not change a single bit.
+``fit_corpus(method="em")`` packs chunks of cascades into batched EM
+array programs.  Each cascade's fit must equal ``naive_fit_em`` — the
+historical per-event loop, run on that cascade alone — bit for bit, for
+every batch size and worker count (mirroring
+``tests/test_parallel_equivalence.py``, which pins the Gibbs path
+across ``n_jobs``).
 """
 
 import numpy as np
@@ -14,8 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import HAWKES_PROCESSES, HawkesConfig
-from repro.core.influence import UrlCascade, fit_corpus
+from repro.core.hawkes.basis import LogBinnedLagBasis
+from repro.core.hawkes.inference import Priors
+from repro.core.influence import UrlCascade, cascade_to_events, fit_corpus
 from repro.news.domains import NewsCategory
+
+from _hawkes_oracle import naive_fit_em
 
 ALT = NewsCategory.ALTERNATIVE
 MAIN = NewsCategory.MAINSTREAM
@@ -58,20 +62,59 @@ def build_mixed_corpus(rng, n_urls):
     return cascades
 
 
-def assert_results_close(reference, batched):
-    assert reference.processes == batched.processes
-    assert len(reference.fits) == len(batched.fits)
-    for ref, got in zip(reference.fits, batched.fits):
-        assert ref.url == got.url
-        assert ref.category == got.category
-        assert np.array_equal(ref.event_counts, got.event_counts)
-        assert ref.n_bins == got.n_bins
-        np.testing.assert_allclose(got.weights, ref.weights,
-                                   rtol=5e-3, atol=1e-8)
-        np.testing.assert_allclose(got.background, ref.background,
-                                   rtol=5e-3, atol=1e-10)
-        assert got.log_likelihood == pytest.approx(
-            ref.log_likelihood, rel=1e-4)
+def build_dense_corpus(n_urls, seed=3):
+    """Cascades whose final entries have 8, 16 or 24 candidate parents.
+
+    Every event lands in its own bin, all within one ``max_lag``
+    window.  A final segment of ``8m`` candidates is where NumPy's
+    pairwise ``add.reduceat`` groups differently with and without a
+    trailing ``+0.0``, so a cascade's fit would depend on whether it is
+    last in its batch unless every cascade's final segment gets one.
+    """
+    rng = np.random.default_rng(seed)
+    cascades = []
+    for i in range(n_urls):
+        t0 = i * 1e6
+        names = rng.choice(HAWKES_PROCESSES, size=8 * (i % 3 + 1) + 1)
+        events = tuple((t0 + 120.0 * j + float(rng.uniform(0, 50)),
+                        str(name)) for j, name in enumerate(names))
+        category = ALT if i % 2 else MAIN
+        cascades.append(UrlCascade(f"u{i}", category, events))
+    return cascades
+
+
+def oracle_fits(corpus, config=FAST):
+    """``(cascade, events, params, log_likelihood)`` per URL, each from
+    the naive per-event EM loop run on that cascade alone."""
+    basis = LogBinnedLagBasis(config.max_lag_bins)
+    priors = Priors(
+        background_shape=config.background_shape,
+        background_rate=config.background_rate,
+        weight_shape=config.weight_shape,
+        weight_rate=config.weight_rate,
+        impulse_concentration=config.impulse_concentration,
+    )
+    fits = []
+    for cascade in corpus:
+        events = cascade_to_events(cascade, HAWKES_PROCESSES, config.delta_t)
+        params, log_likelihood, _ = naive_fit_em(
+            events, config.max_lag_bins, basis=basis, priors=priors)
+        fits.append((cascade, events, params, log_likelihood))
+    return fits
+
+
+def assert_matches_oracle(oracle, result):
+    assert result.processes == tuple(HAWKES_PROCESSES)
+    assert len(oracle) == len(result.fits)
+    for (cascade, events, params, log_likelihood), fit in zip(oracle,
+                                                             result.fits):
+        assert fit.url == cascade.url
+        assert fit.category == cascade.category
+        assert np.array_equal(fit.event_counts, events.events_per_process())
+        assert fit.n_bins == events.n_bins
+        assert np.array_equal(fit.weights, params.weights)
+        assert np.array_equal(fit.background, params.background)
+        assert fit.log_likelihood == log_likelihood
 
 
 def assert_results_bit_identical(a, b):
@@ -83,70 +126,85 @@ def assert_results_bit_identical(a, b):
 
 
 class TestGoldenBatchedEquivalence:
-    """Fixed corpus, every batch size and fan-out vs the per-URL path."""
+    """Fixed corpus, every batch size and fan-out vs the oracle."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
         return build_corpus(11, events_per_url=6)
 
     @pytest.fixture(scope="class")
-    def per_url(self, corpus):
-        return fit_corpus(corpus, FAST, method="em")
+    def oracle(self, corpus):
+        return oracle_fits(corpus)
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 5, 11, 64])
-    def test_every_batch_size_matches_per_url(self, corpus, per_url,
+    def test_every_batch_size_matches_per_url(self, corpus, oracle,
                                               chunk_size):
-        batched = fit_corpus(corpus, FAST, method="em", engine="batched",
+        batched = fit_corpus(corpus, FAST, method="em",
                              chunk_size=chunk_size)
-        assert_results_close(per_url, batched)
+        assert_matches_oracle(oracle, batched)
 
     @pytest.mark.parametrize("n_jobs", [2, 4])
-    def test_parallel_batched_matches_per_url(self, corpus, per_url,
+    def test_parallel_batched_matches_per_url(self, corpus, oracle,
                                               n_jobs):
-        batched = fit_corpus(corpus, FAST, method="em", engine="batched",
-                             n_jobs=n_jobs)
-        assert_results_close(per_url, batched)
+        batched = fit_corpus(corpus, FAST, method="em", n_jobs=n_jobs)
+        assert_matches_oracle(oracle, batched)
 
     def test_batched_bit_identical_across_chunking(self, corpus):
-        whole = fit_corpus(corpus, FAST, method="em", engine="batched")
+        whole = fit_corpus(corpus, FAST, method="em")
         for chunk_size in (1, 3, 7):
             split = fit_corpus(corpus, FAST, method="em",
-                               engine="batched", chunk_size=chunk_size)
+                               chunk_size=chunk_size)
             assert_results_bit_identical(whole, split)
 
     def test_batched_bit_identical_across_workers(self, corpus):
-        serial = fit_corpus(corpus, FAST, method="em", engine="batched")
-        fanned = fit_corpus(corpus, FAST, method="em", engine="batched",
-                            n_jobs=2, chunk_size=3)
+        serial = fit_corpus(corpus, FAST, method="em")
+        fanned = fit_corpus(corpus, FAST, method="em", n_jobs=2,
+                            chunk_size=3)
         assert_results_bit_identical(serial, fanned)
 
     def test_progress_reaches_total(self, corpus):
         calls = []
-        fit_corpus(corpus, FAST, method="em", engine="batched",
-                   chunk_size=4,
+        fit_corpus(corpus, FAST, method="em", chunk_size=4,
                    progress=lambda done, total: calls.append((done, total)))
         assert calls[-1] == (len(corpus), len(corpus))
         assert all(total == len(corpus) for _, total in calls)
 
-    def test_per_url_engine_is_default_and_unchanged(self, corpus, per_url):
-        explicit = fit_corpus(corpus, FAST, method="em",
-                              engine="per-url")
-        assert_results_bit_identical(per_url, explicit)
+
+class TestDenseFinalSegments:
+    """Regression: a cascade's result must not depend on whether it is
+    the last one in its batch (the only one whose final segment used to
+    absorb the reduction sentinel)."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return build_dense_corpus(6)
+
+    @pytest.fixture(scope="class")
+    def oracle(self, corpus):
+        return oracle_fits(corpus)
+
+    def test_final_entries_have_multiples_of_eight_candidates(self, corpus):
+        for cascade in corpus:
+            events = cascade_to_events(cascade, HAWKES_PROCESSES,
+                                       FAST.delta_t)
+            last = events.bins[-1]
+            candidates = np.sum((events.bins < last)
+                                & (events.bins >= last - FAST.max_lag_bins))
+            assert candidates >= 8 and candidates % 8 == 0
+
+    @pytest.mark.parametrize("chunk_size", [1, 2, 4, None])
+    def test_chunking_matches_per_url(self, corpus, oracle, chunk_size):
+        assert_matches_oracle(oracle, fit_corpus(
+            corpus, FAST, method="em", chunk_size=chunk_size))
+
+    def test_parallel_matches_per_url(self, corpus, oracle):
+        assert_matches_oracle(oracle, fit_corpus(corpus, FAST, method="em",
+                                                 n_jobs=2))
 
 
 class TestEngineValidation:
-    def test_batched_requires_em(self):
-        with pytest.raises(ValueError, match="method='em'"):
-            fit_corpus(build_corpus(2, 4), FAST, method="gibbs",
-                       engine="batched")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            fit_corpus(build_corpus(2, 4), FAST, method="em",
-                       engine="vectorized")
-
     def test_empty_corpus(self):
-        result = fit_corpus([], FAST, method="em", engine="batched")
+        result = fit_corpus([], FAST, method="em")
         assert result.fits == []
 
 
@@ -157,9 +215,7 @@ class TestEngineValidation:
     chunk_size=st.sampled_from([1, 2, 3, 1024]),
 )
 def test_property_batched_equals_per_url(n_urls, seed, chunk_size):
-    """Any corpus shape, any batch size: batched tracks the golden path."""
+    """Any corpus shape, any batch size: bit-identical to the oracle."""
     corpus = build_mixed_corpus(np.random.default_rng(seed), n_urls)
-    per_url = fit_corpus(corpus, FAST, method="em")
-    batched = fit_corpus(corpus, FAST, method="em", engine="batched",
-                         chunk_size=chunk_size)
-    assert_results_close(per_url, batched)
+    batched = fit_corpus(corpus, FAST, method="em", chunk_size=chunk_size)
+    assert_matches_oracle(oracle_fits(corpus), batched)

@@ -13,6 +13,8 @@ from repro.core.hawkes.batched import (
 from repro.core.hawkes.inference import fit_em
 from repro.core.hawkes.kernels import segment_ranges
 
+from _hawkes_oracle import naive_fit_em
+
 K = 4
 MAX_LAG = 48
 
@@ -27,6 +29,12 @@ def make_events(rng, n_events, n_procs=K, horizon=4000.0):
 def events_batch():
     rng = np.random.default_rng(42)
     batch = [make_events(rng, int(rng.integers(1, 25))) for _ in range(8)]
+    # Final entries with 8 and 16 candidate parents, where NumPy's
+    # pairwise segment sums group by term count: mid-batch, they must
+    # still sum as they do alone.
+    batch += [bin_timestamps(60.0 * np.arange(n), rng.integers(0, K, n),
+                             n_processes=K, delta_t=60.0)
+              for n in (9, 17)]
     # Degenerate shapes the corpus actually contains: a lone event and
     # a single-process cascade.
     batch.append(bin_timestamps([30.0], [1], n_processes=K, delta_t=60.0))
@@ -107,42 +115,33 @@ class TestBatchedParentStructure:
 
 
 class TestFitEmBatched:
-    def test_fixed_iterations_near_bit_identical(self, events_batch):
+    def test_fixed_iterations_bit_identical(self, events_batch):
         # tol=0 removes early stopping, so every cascade runs exactly
-        # max_iterations sweeps in both engines and the only remaining
-        # differences are float association in exposure/likelihood.
+        # max_iterations sweeps: 20 sweeps of every phase, compared
+        # bit for bit against the naive per-event loop.
         basis = LogBinnedLagBasis(MAX_LAG)
         batch = fit_em_batched(events_batch, MAX_LAG, basis=basis,
                                max_iterations=20, tol=0.0)
         for i, ev in enumerate(events_batch):
-            ref = fit_em(ev, MAX_LAG, basis=basis, max_iterations=20,
-                         tol=0.0)
+            params, log_likelihood, n_iterations = naive_fit_em(
+                ev, MAX_LAG, basis=basis, max_iterations=20, tol=0.0)
             got = batch.fit_result(i)
-            np.testing.assert_allclose(got.params.background,
-                                       ref.params.background,
-                                       rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(got.params.weights,
-                                       ref.params.weights,
-                                       rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(got.params.impulse,
-                                       ref.params.impulse,
-                                       rtol=1e-9, atol=1e-12)
-            assert got.log_likelihood == pytest.approx(
-                ref.log_likelihood, rel=1e-9)
-            assert got.n_iterations == ref.n_iterations == 20
+            assert np.array_equal(got.params.background, params.background)
+            assert np.array_equal(got.params.weights, params.weights)
+            assert np.array_equal(got.params.impulse, params.impulse)
+            assert got.log_likelihood == log_likelihood
+            assert got.n_iterations == n_iterations == 20
 
     def test_default_tol_matches_per_url(self, events_batch):
         basis = LogBinnedLagBasis(MAX_LAG)
         batch = fit_em_batched(events_batch, MAX_LAG, basis=basis)
         for i, ev in enumerate(events_batch):
-            ref = fit_em(ev, MAX_LAG, basis=basis)
-            np.testing.assert_allclose(batch.weights[i], ref.params.weights,
-                                       rtol=5e-3, atol=1e-8)
-            np.testing.assert_allclose(batch.background[i],
-                                       ref.params.background,
-                                       rtol=5e-3, atol=1e-10)
-            assert batch.log_likelihood[i] == pytest.approx(
-                ref.log_likelihood, rel=1e-4)
+            params, log_likelihood, n_iterations = naive_fit_em(
+                ev, MAX_LAG, basis=basis)
+            assert np.array_equal(batch.weights[i], params.weights)
+            assert np.array_equal(batch.background[i], params.background)
+            assert batch.log_likelihood[i] == log_likelihood
+            assert batch.n_iterations[i] == n_iterations
 
     def test_batch_composition_is_bit_identical(self, events_batch):
         # Cascades never interact inside a batch, so any split of the
@@ -169,10 +168,11 @@ class TestFitEmBatched:
         basis = LogBinnedLagBasis(MAX_LAG)
         batch = fit_em_batched([ev], MAX_LAG, basis=basis)
         ref = fit_em(ev, MAX_LAG, basis=basis)
-        np.testing.assert_allclose(batch.weights[0], ref.params.weights,
-                                   rtol=1e-7, atol=1e-10)
-        assert batch.log_likelihood[0] == pytest.approx(
-            ref.log_likelihood, rel=1e-7)
+        params, log_likelihood, _ = naive_fit_em(ev, MAX_LAG, basis=basis)
+        assert np.array_equal(batch.weights[0], ref.params.weights)
+        assert np.array_equal(batch.weights[0], params.weights)
+        assert batch.log_likelihood[0] == ref.log_likelihood \
+            == log_likelihood
 
     def test_fit_result_expands_valid_params(self, events_batch):
         batch = fit_em_batched(events_batch, MAX_LAG)

@@ -325,6 +325,24 @@ class TestTrace:
 # Bit-identity: instrumentation must never change fitted numbers
 # ---------------------------------------------------------------------------
 
+class TestEmHealth:
+    def test_corpus_em_reports_every_cascade(self, cascades,
+                                             fresh_registry):
+        corpus = select_urls(cascades)[:5]
+        fit_corpus(corpus, HawkesConfig(max_lag_bins=60), method="em",
+                   chunk_size=2)
+        families = fresh_registry.snapshot()["metrics"]
+        [total] = families["repro_fit_total"]["samples"]
+        assert total["labels"] == {"method": "em"}
+        assert total["value"] == len(corpus)
+        [iterations] = families["repro_fit_em_iterations"]["samples"]
+        assert iterations["count"] == len(corpus)
+        [deltas] = families["repro_fit_em_convergence_delta"]["samples"]
+        assert deltas["count"] == len(corpus)
+        [batches] = families["repro_fit_batch_total"]["samples"]
+        assert batches["value"] == 3
+
+
 class TestBitIdentity:
     def test_traced_fit_corpus_matches_untraced(self, cascades, tmp_path):
         corpus = select_urls(cascades)[:3]
