@@ -38,8 +38,9 @@ from ..obs import DEFAULT_TIME_BUCKETS, get_registry
 
 logger = logging.getLogger("repro.api.store")
 
-#: Bump to invalidate every stored artifact when stage semantics change.
-SCHEMA_VERSION = 1
+#: Bump to invalidate every stored artifact when stage semantics or a
+#: stored object's pickled layout change (2: 4chan live-thread index).
+SCHEMA_VERSION = 2
 
 #: Sentinel distinguishing "stored None" from "absent".
 MISSING = object()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from ..config import FOURCHAN_GAPS
-from ..news.classify import extract_news_urls
+from ..news.classify import ClassifiedUrl, _extract_news_urls
 from ..news.domains import NewsRegistry, default_registry
 from ..platforms.fourchan import FourchanPlatform
 from ..platforms.generic import GenericPlatform
@@ -31,8 +31,9 @@ class GenericCollector:
 
     def stream(self, platform: GenericPlatform) -> Iterator[DatasetRecord]:
         """Yield news-URL records one at a time, in timestamp order."""
+        memo: dict[str, ClassifiedUrl | None] = {}
         for post in sorted(platform.posts, key=lambda p: p.created_at):
-            news_urls = extract_news_urls(post.text, self.registry)
+            news_urls = _extract_news_urls(post.text, self.registry, memo)
             if not news_urls:
                 continue
             yield DatasetRecord(
@@ -69,8 +70,9 @@ class RedditDumpReader:
         items.extend(comment.to_post()
                      for comment in platform.comments.values())
         items.sort(key=lambda p: p.created_at)
+        memo: dict[str, ClassifiedUrl | None] = {}
         for post in items:
-            news_urls = extract_news_urls(post.text, self.registry)
+            news_urls = _extract_news_urls(post.text, self.registry, memo)
             if not news_urls:
                 continue
             yield DatasetRecord(
@@ -135,9 +137,10 @@ class FourchanCrawler:
                     continue
                 posts.append(post)
         posts.sort(key=lambda p: p.created_at)
+        memo: dict[str, ClassifiedUrl | None] = {}
         for raw in posts:
             post = raw.to_post()
-            news_urls = extract_news_urls(post.text, self.registry)
+            news_urls = _extract_news_urls(post.text, self.registry, memo)
             if not news_urls:
                 continue
             yield DatasetRecord(

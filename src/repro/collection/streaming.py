@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from ..config import TWITTER_GAPS
-from ..news.classify import extract_news_urls
+from ..news.classify import ClassifiedUrl, _extract_news_urls
 from ..news.domains import NewsRegistry, default_registry
 from ..platforms.twitter import TwitterPlatform
 from ..timeutil import Interval, in_any_interval
@@ -48,13 +48,14 @@ class TwitterStreamCollector:
         replay that checkpoint resume relies on.
         """
         rng = random.Random(self.seed)
+        memo: dict[str, ClassifiedUrl | None] = {}
         for tweet in sorted(platform.firehose, key=lambda t: t.created_at):
             if in_any_interval(tweet.created_at, self.gaps):
                 continue
             if (self.sample_rate < 1.0
                     and rng.random() >= self.sample_rate):
                 continue
-            news_urls = extract_news_urls(tweet.text, self.registry)
+            news_urls = _extract_news_urls(tweet.text, self.registry, memo)
             if not news_urls:
                 continue
             yield DatasetRecord(

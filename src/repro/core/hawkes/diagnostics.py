@@ -147,7 +147,11 @@ def posterior_predictive_check(params: HawkesParams,
                                n_replicates: int = 20,
                                rng: np.random.Generator | None = None,
                                ) -> PredictiveCheck:
-    """Simulate replicates from ``params`` and compare event totals."""
+    """Simulate replicates from ``params`` and compare event totals.
+
+    Like :func:`~repro.core.hawkes.simulation.simulate_branching`,
+    raises ``RuntimeError`` up front for a super-critical ``W``.
+    """
     rng = rng or np.random.default_rng()
     observed = events.events_per_process().astype(np.float64)
     totals = np.zeros((n_replicates, params.n_processes))

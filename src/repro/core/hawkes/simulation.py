@@ -11,6 +11,15 @@ Two samplers are provided:
   ``Poisson(lambda[t, k])`` counts from the accumulated rate.  It is
   O(T·K·D) and exists as an independent cross-check of the branching
   construction (the two agree in distribution; tested on moments).
+
+:func:`simulate_branching` rejects a super-critical ``W`` (spectral
+radius >= 1) before drawing anything: such a cascade need not die out,
+and within a long window it grows until the event budget stops it.  The
+event budget stays only as a backstop.
+
+:func:`choice_cdf` and :func:`draw_index` make fixed-``p`` categorical
+draws that equal ``Generator.choice(..., p=p)`` without rebuilding the
+CDF on every call.
 """
 
 from __future__ import annotations
@@ -22,8 +31,37 @@ import numpy as np
 from ..events import DiscreteEvents
 from .model import HawkesParams
 
-#: Guard against runaway cascades from unstable parameter settings.
+#: Backstop against runaway cascades; a super-critical ``W`` is
+#: rejected before simulating, so only an enormous window can reach it.
 _MAX_EVENTS = 5_000_000
+
+#: ``Generator.choice``'s tolerance on ``sum(p) - 1``.
+_PMF_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def choice_cdf(p) -> np.ndarray:
+    """The CDF ``Generator.choice(..., p=p)`` builds, over the last axis.
+
+    ``p`` may stack several PMFs (e.g. a ``(K, K, D)`` impulse array);
+    each is accumulated and normalized exactly as ``choice`` does, and
+    rejected with ``choice``'s ``ValueError`` where ``choice`` would
+    reject it.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if np.isnan(p).any():
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if (np.abs(p.sum(axis=-1) - 1.0) > _PMF_ATOL).any():
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def draw_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One draw of ``rng.choice(len(p), p=p)`` given ``cdf = choice_cdf(p)``."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def simulate_branching(params: HawkesParams, n_bins: int,
@@ -31,12 +69,31 @@ def simulate_branching(params: HawkesParams, n_bins: int,
                        ) -> DiscreteEvents:
     """Draw one realization of the model over ``n_bins`` bins.
 
-    Raises ``RuntimeError`` if the cascade exceeds an internal event
-    budget, which only happens for super-critical ``W`` (spectral radius
-    well above 1).
+    Raises ``RuntimeError`` before any draw if ``W`` is super-critical
+    (spectral radius >= 1), and as a backstop if the cascade exceeds an
+    internal event budget.
     """
+    return _simulate_branching(params, n_bins, rng,
+                               choice_cdf(params.impulse))
+
+
+def _simulate_branching(params: HawkesParams, n_bins: int,
+                        rng: np.random.Generator | None,
+                        lag_cdf: np.ndarray) -> DiscreteEvents:
+    """:func:`simulate_branching` given ``choice_cdf(params.impulse)``.
+
+    Callers simulating many cascades under one impulse array build its
+    CDF once.  ``lag_cdf[k, dst]`` draws ``lag - 1`` exactly as
+    ``rng.choice(lags, p=impulse[k, dst])`` draws ``lag``.
+    """
+    radius = params.spectral_radius()
+    if radius >= 1.0:
+        raise RuntimeError(
+            f"weight matrix is super-critical (spectral radius "
+            f"{radius:.3f} >= 1); the cascade need not die out")
     rng = rng or np.random.default_rng()
     k_procs = params.n_processes
+    weights = params.weights.tolist()
     queue: deque[tuple[int, int]] = deque()
 
     # Immigrant (background) events: Poisson(lambda0) per bin, drawn in
@@ -48,7 +105,6 @@ def simulate_branching(params: HawkesParams, n_bins: int,
                 queue.append((int(t), k))
 
     all_events: list[tuple[int, int]] = []
-    lags = np.arange(1, params.max_lag + 1)
     produced = 0
     while queue:
         t, k = queue.popleft()
@@ -57,15 +113,16 @@ def simulate_branching(params: HawkesParams, n_bins: int,
         if produced > _MAX_EVENTS:
             raise RuntimeError(
                 "event budget exceeded; weight matrix is likely unstable "
-                f"(spectral radius {params.spectral_radius():.3f})")
+                f"(spectral radius {radius:.3f})")
+        row = weights[k]
         for dst in range(k_procs):
-            n_children = rng.poisson(params.weights[k, dst])
+            n_children = rng.poisson(row[dst])
             if not n_children:
                 continue
-            child_lags = rng.choice(lags, size=n_children,
-                                    p=params.impulse[k, dst])
-            for lag in child_lags:
-                child_t = t + int(lag)
+            lag_index = lag_cdf[k, dst].searchsorted(
+                rng.random(n_children), side="right")
+            for index in lag_index.tolist():
+                child_t = t + index + 1
                 if child_t < n_bins:
                     queue.append((child_t, dst))
 

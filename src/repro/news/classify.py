@@ -51,10 +51,25 @@ def extract_news_urls(text: str,
     Duplicate canonical URLs within one text are collapsed to a single
     entry (a post linking the same article twice is one occurrence).
     """
-    registry = registry or default_registry()
+    return _extract_news_urls(text, registry or default_registry(), {})
+
+
+def _extract_news_urls(text: str, registry: NewsRegistry,
+                       memo: dict[str, ClassifiedUrl | None],
+                       ) -> list[ClassifiedUrl]:
+    """:func:`extract_news_urls`, classifying each raw URL once per ``memo``.
+
+    ``memo`` maps a raw URL to its :func:`classify_url` result.  A
+    collector passes one dict per pass over a platform, so a URL shared
+    by thousands of posts is canonicalized once; results are shared
+    instances of the frozen :class:`ClassifiedUrl`.
+    """
     seen: dict[str, ClassifiedUrl] = {}
     for raw in extract_urls(text):
-        classified = classify_url(raw, registry)
+        if raw in memo:
+            classified = memo[raw]
+        else:
+            classified = memo[raw] = classify_url(raw, registry)
         if classified is not None and classified.url not in seen:
             seen[classified.url] = classified
     return list(seen.values())

@@ -243,6 +243,10 @@ class NewsRegistry:
         self._by_name = {d.name.lower(): d for d in self.domains}
         if len(self._by_name) != len(self.domains):
             raise ValueError("duplicate domain names in registry")
+        self._by_category = {
+            category: tuple(d for d in self.domains
+                            if d.category == category)
+            for category in NewsCategory}
 
     # -- lookups ----------------------------------------------------------
 
@@ -267,7 +271,7 @@ class NewsRegistry:
         return entry.category if entry else None
 
     def of_category(self, category: NewsCategory) -> tuple[NewsDomain, ...]:
-        return tuple(d for d in self.domains if d.category == category)
+        return self._by_category.get(category, ())
 
     @property
     def mainstream(self) -> tuple[NewsDomain, ...]:

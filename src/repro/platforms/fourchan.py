@@ -11,6 +11,7 @@ Ephemerality is what a crawler races against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .base import IdAllocator, Post
 from ..timeutil import SECONDS_PER_DAY
@@ -20,6 +21,8 @@ ANONYMOUS = "Anonymous"
 
 #: Threads are permanently deleted this long after being purged.
 ARCHIVE_RETENTION = 7 * SECONDS_PER_DAY
+
+_BUMP_TIME = attrgetter("last_bumped_at")
 
 
 @dataclass
@@ -95,6 +98,11 @@ class FourchanPlatform:
         self.threads: dict[int, FourchanThread] = {}
         self.unmaterialized_posts: int = 0
         self._materialized_posts = 0
+        #: Per board, its live threads in creation order: ``catalog`` and
+        #: the capacity purge touch only these, never the board's history.
+        self._live: dict[str, dict[int, FourchanThread]] = {}
+        #: Purged threads not yet deleted, the only ones expiry visits.
+        self._archived: dict[int, FourchanThread] = {}
 
     # -- boards ---------------------------------------------------------------
 
@@ -106,6 +114,7 @@ class FourchanPlatform:
         board = FourchanBoard(name=name, thread_capacity=thread_capacity,
                               bump_limit=bump_limit)
         self.boards[name] = board
+        self._live[name] = {}
         return board
 
     def _require_board(self, name: str) -> FourchanBoard:
@@ -142,6 +151,7 @@ class FourchanPlatform:
         self._materialized_posts += 1
         self.threads[thread.thread_id] = thread
         board_obj.thread_ids.append(thread.thread_id)
+        self._live[board_obj.name][thread.thread_id] = thread
         self._enforce_capacity(board_obj, now=created_at)
         return thread
 
@@ -173,34 +183,37 @@ class FourchanPlatform:
     # -- ephemerality -------------------------------------------------------------
 
     def _enforce_capacity(self, board: FourchanBoard, now: int) -> None:
-        """Purge lowest-bumped threads once the board exceeds capacity."""
-        live = [tid for tid in board.thread_ids
-                if self.threads[tid].is_live]
+        """Purge lowest-bumped threads once the board exceeds capacity.
+
+        Ties purge the earliest-created thread first: the sort is stable
+        over the live index, which is in creation order.
+        """
+        live = self._live[board.name]
         excess = len(live) - board.thread_capacity
         if excess <= 0:
             return
-        by_bump = sorted(live, key=lambda tid: self.threads[tid].last_bumped_at)
-        for tid in by_bump[:excess]:
-            self.threads[tid].purged_at = now
+        by_bump = sorted(live.values(), key=_BUMP_TIME)
+        for thread in by_bump[:excess]:
+            thread.purged_at = now
+            del live[thread.thread_id]
+            self._archived[thread.thread_id] = thread
 
     def expire_archives(self, now: int) -> int:
         """Permanently delete threads purged more than 7 days ago."""
-        deleted = 0
-        for thread in self.threads.values():
-            if (thread.purged_at is not None and not thread.deleted
-                    and now - thread.purged_at >= ARCHIVE_RETENTION):
-                thread.deleted = True
-                deleted += 1
-        return deleted
+        expired = [thread for thread in self._archived.values()
+                   if now - thread.purged_at >= ARCHIVE_RETENTION]
+        for thread in expired:
+            thread.deleted = True
+            del self._archived[thread.thread_id]
+        return len(expired)
 
     # -- views -----------------------------------------------------------------
 
     def catalog(self, board: str) -> list[FourchanThread]:
         """Live threads in bump order (what the site shows)."""
         board_obj = self._require_board(board)
-        live = [self.threads[tid] for tid in board_obj.thread_ids
-                if self.threads[tid].is_live]
-        return sorted(live, key=lambda t: t.last_bumped_at, reverse=True)
+        return sorted(self._live[board_obj.name].values(), key=_BUMP_TIME,
+                      reverse=True)
 
     def visible_threads(self, board: str) -> list[FourchanThread]:
         """Live + archived-but-not-yet-deleted threads (crawler view)."""

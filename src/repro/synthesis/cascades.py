@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import SELECTED_SUBREDDITS, STUDY_END
-from ..core.hawkes import HawkesParams, simulate_branching
+from ..core.hawkes import HawkesParams
+from ..core.hawkes.simulation import (
+    _simulate_branching,
+    choice_cdf,
+    draw_index,
+)
 from ..news.articles import Article
 from .diurnal import DiurnalProfile, apply_diurnal
 from .params import (
@@ -62,10 +67,15 @@ class CascadeEngine:
         self.rng = rng
         self.study_end = study_end
         self._impulse = ground_truth.impulse()
+        self._lag_cdf = choice_cdf(self._impulse)
         self._diurnal = (DiurnalProfile()
                          if ground_truth.diurnal_enabled else None)
         self._local_homes = ("Twitter", "reddit-six", "/pol/",
                              "Reddit-other", "4chan-other")
+        self._home_cdf = choice_cdf(ground_truth.local_home_probs)
+        self._subreddit_cdf = {
+            alternative: choice_cdf(weights / weights.sum())
+            for alternative, weights in _SUBREDDIT_WEIGHTS.items()}
 
     # -- public API --------------------------------------------------------
 
@@ -155,7 +165,8 @@ class CascadeEngine:
             weights=truth.weights(article.is_alternative),
             impulse=self._impulse,
         )
-        simulated = simulate_branching(params, n_bins=window, rng=self.rng)
+        simulated = _simulate_branching(params, window, self.rng,
+                                        self._lag_cdf)
         events: list[tuple[float, str]] = []
         for m in range(len(simulated)):
             name = truth.processes[int(simulated.processes[m])]
@@ -174,12 +185,9 @@ class CascadeEngine:
     # -- local stories -----------------------------------------------------
 
     def _pick_local_home(self, alternative: bool) -> str:
-        home = self.rng.choice(len(self._local_homes),
-                               p=self.truth.local_home_probs)
-        name = self._local_homes[home]
+        name = self._local_homes[draw_index(self._home_cdf, self.rng)]
         if name == "reddit-six":
-            weights = _SUBREDDIT_WEIGHTS[alternative]
-            idx = self.rng.choice(6, p=weights / weights.sum())
+            idx = draw_index(self._subreddit_cdf[alternative], self.rng)
             return SELECTED_SUBREDDITS[idx]
         return name
 

@@ -11,6 +11,7 @@ per-user fraction CDFs by construction rather than by accident.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -94,11 +95,13 @@ class UserPopulation:
         self._index_pools()
 
     def _index_pools(self) -> None:
-        """Precompute per-category author pools and sampling weights.
+        """Precompute per-category author pools and cumulative weights.
 
         A mainstream post can come from a mainstream-only or a mixed
         user (weighted by activity and 1 - preference); symmetrically
-        for alternative posts.
+        for alternative posts.  The weights are stored accumulated, the
+        way ``random.choices`` accumulates ``weights=`` itself, so each
+        draw is the same without re-summing the pool.
         """
         self._pool: dict[bool, tuple[list[UserProfile], list[float]]] = {}
         for alternative in (False, True):
@@ -124,12 +127,13 @@ class UserPopulation:
             if not members:  # degenerate tiny populations
                 members = list(self.profiles)
                 weights = [p.activity for p in self.profiles]
-            self._pool[alternative] = (members, weights)
+            self._pool[alternative] = (
+                members, list(itertools.accumulate(weights)))
 
     def sample_author(self, alternative: bool) -> UserProfile:
         """Draw an author for a post of the given category."""
-        members, weights = self._pool[alternative]
-        return self._rng.choices(members, weights=weights, k=1)[0]
+        members, cum_weights = self._pool[alternative]
+        return self._rng.choices(members, cum_weights=cum_weights, k=1)[0]
 
     @property
     def bots(self) -> list[UserProfile]:

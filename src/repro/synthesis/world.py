@@ -20,6 +20,7 @@ from ..config import (
     STUDY_END,
     STUDY_START,
 )
+from ..core.hawkes.simulation import choice_cdf, draw_index
 from ..news.articles import Article, ArticleGenerator
 from ..news.domains import NewsCategory, NewsRegistry, default_registry
 from ..platforms.fourchan import FourchanPlatform
@@ -218,15 +219,16 @@ class _RedditMaterializer:
         main_names = list(OTHER_SUBREDDIT_MAIN_SHARES)
         main_weights = np.array(list(OTHER_SUBREDDIT_MAIN_SHARES.values()))
         self._other_pools = {
-            True: (alt_names, alt_weights / alt_weights.sum()),
-            False: (main_names, main_weights / main_weights.sum()),
+            True: (alt_names, choice_cdf(alt_weights / alt_weights.sum())),
+            False: (main_names,
+                    choice_cdf(main_weights / main_weights.sum())),
         }
 
     def _other_subreddit(self, alternative: bool) -> str:
         if self.rng.random() < self.world.config.generic_subreddit_prob:
             return self._generic[int(self.rng.integers(len(self._generic)))]
-        names, probs = self._other_pools[alternative]
-        return names[int(self.rng.choice(len(names), p=probs))]
+        names, cdf = self._other_pools[alternative]
+        return names[draw_index(cdf, self.rng)]
 
     def materialize(self, cascade: StoryCascade, when: float,
                     community: str) -> None:
@@ -359,14 +361,13 @@ def build_world(config: WorldConfig | None = None) -> World:
                   for category in NewsCategory}
     for category, schedule in schedules:
         groups = list(flavor_mix[category])
-        group_probs = [flavor_mix[category][g] for g in groups]
+        group_cdf = choice_cdf([flavor_mix[category][g] for g in groups])
         for published_at in schedule.timestamps:
             viral = engine.draw_viral()
             home: str | None = None
             flavor: str | None = None
             if viral:
-                flavor = groups[int(rng.choice(len(groups),
-                                               p=group_probs))]
+                flavor = groups[draw_index(group_cdf, rng)]
                 weights = blend[(category, flavor)]
             else:
                 home = engine.pick_local_home(

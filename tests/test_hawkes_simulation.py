@@ -71,6 +71,14 @@ class TestBranchingSampler:
         with pytest.raises(RuntimeError):
             simulate_branching(params, 200_000, rng)
 
+    def test_supercritical_rejected_before_any_draw(self):
+        params = make_params([0.5, 0.1], [[0.9, 0.3], [0.3, 0.9]])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="spectral radius 1.200"):
+            simulate_branching(params, 200_000, rng)
+        assert rng.bit_generator.state == state
+
     def test_children_respect_impulse_support(self, rng):
         # All impulse mass at lag exactly 5.
         impulse = np.zeros((1, 1, 10))
